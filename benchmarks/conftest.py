@@ -1,10 +1,11 @@
 """Shared benchmark fixtures.
 
 Every benchmark regenerates one of the paper's tables or figures and
-prints it in a paper-comparable text format (see EXPERIMENTS.md for
-the side-by-side record).  Output is emitted outside pytest's capture
-so that ``pytest benchmarks/ --benchmark-only`` shows the tables, and
-each table is also appended to ``benchmarks/results/``.
+prints it in a paper-comparable text format (README.md, "Benchmarks
+and campaigns", describes the artefact campaigns and their records).
+Output is emitted outside pytest's capture so that ``pytest
+benchmarks/ --benchmark-only`` shows the tables, and each table is
+also appended to ``benchmarks/results/``.
 
 Scale: benchmarks default to a reduced protocol — the paper's cluster
 shapes and context limits, but smaller global batches and 1-2 measured

@@ -89,7 +89,7 @@ def test_fig4_end_to_end_grid(
             ],
             rows,
             title="Fig. 4: end-to-end iteration time, 64 GPUs "
-            "(reduced batch; see EXPERIMENTS.md)",
+            "(reduced batch; see README.md, Benchmarks and campaigns)",
         )
     )
 

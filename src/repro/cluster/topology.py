@@ -10,6 +10,7 @@ the power-of-two neighbour pairing the paper's group manager exploits
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.cluster.device import A100_40GB, GPUSpec
@@ -90,6 +91,11 @@ class ClusterSpec:
         group no larger than a node is all-NVLink; larger groups span
         ``degree / gpus_per_node`` nodes with ``gpus_per_node`` members
         each sharing the uplink.
+
+        Memoised per ``(cluster, degree)`` (equal clusters share
+        entries): the cost-model fit and the simulator ask for the same
+        few degrees thousands of times, and each uncached lookup scans
+        every member rank.  Arguments are validated before the cache.
         """
         if degree <= 0:
             raise ValueError(f"degree must be positive, got {degree}")
@@ -97,7 +103,7 @@ class ClusterSpec:
             raise ValueError(
                 f"degree {degree} exceeds cluster size {self.num_gpus}"
             )
-        return self.group_link(self.contiguous_group(0, degree))
+        return _canonical_link(self, degree)
 
     def hierarchical_link(self) -> LinkSpec:
         """Effective per-GPU link for hierarchical cluster collectives.
@@ -125,6 +131,11 @@ class ClusterSpec:
     def total_memory_budget(self) -> float:
         """Sum of usable device memory across the cluster, bytes."""
         return self.num_gpus * self.gpu.usable_memory_bytes
+
+
+@functools.lru_cache(maxsize=1024)
+def _canonical_link(cluster: ClusterSpec, degree: int) -> LinkSpec:
+    return cluster.group_link(cluster.contiguous_group(0, degree))
 
 
 def standard_cluster(num_gpus: int = 64, gpu: GPUSpec = A100_40GB) -> ClusterSpec:

@@ -23,15 +23,37 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core import stage_timing
 from repro.core.bucketing import DEFAULT_NUM_BUCKETS, Bucket, bucket_sequences
 from repro.core.types import GroupAssignment, MicroBatchPlan
 from repro.cost.model import CostModel, CostTable, cost_table
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
+
+def _milp_api():
+    """scipy's sparse module and HiGHS MILP entry points, imported on
+    first use.
+
+    ``scipy.sparse`` plus ``scipy.optimize`` are the bulk of a cold
+    interpreter's import time and only the MILP backend needs them, so
+    greedy-only processes (campaigns, the greedy service paths) never
+    load them.  Long-lived MILP owners call this up front — see
+    :func:`repro.core.solver.preload_backend` — so a first request or
+    a forked worker does not pay the import.
+
+    Returns:
+        ``(sparse, Bounds, LinearConstraint, milp)``.
+    """
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    return sparse, Bounds, LinearConstraint, milp
 
 
 #: Re-entrancy/ref count of :func:`_quiet_stdout` with the saved
@@ -438,8 +460,9 @@ class _MilpSkeleton:
         uppers: np.ndarray,
         w_distinct: np.ndarray | None = None,
     ) -> sparse.csc_array:
+        csc_array = _milp_api()[0].csc_array
         data = self.values(table, uppers, w_distinct)[self.perm]
-        return sparse.csc_array(
+        return csc_array(
             (data, self.indices, self.indptr),
             shape=(self.num_rows, self.num_vars),
             dtype=np.float64,
@@ -592,6 +615,7 @@ def _build_and_solve(
     so HiGHS receives a bit-for-bit equal problem.
     """
     build_started = time.perf_counter()
+    __, Bounds, LinearConstraint, milp = _milp_api()
     table = cost_table(model)
     if table.activation_budget <= 0:
         raise PlanInfeasibleError("model states alone exceed device memory")

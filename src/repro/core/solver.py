@@ -52,7 +52,12 @@ from repro.core.plan_cache import (
     cache_context,
     canonical_shape,
 )
-from repro.core.planner import PlanInfeasibleError, PlannerConfig, plan_microbatch
+from repro.core.planner import (
+    PlanInfeasibleError,
+    PlannerConfig,
+    _milp_api,
+    plan_microbatch,
+)
 from repro.core.planner_greedy import plan_microbatch_greedy
 from repro.core.types import (
     IterationPlan,
@@ -67,6 +72,18 @@ _BACKENDS = {
     "milp": plan_microbatch,
     "greedy": plan_microbatch_greedy,
 }
+
+
+def preload_backend(backend: str) -> None:
+    """Import a planner backend's lazily loaded dependencies now.
+
+    The MILP backend's scipy import is deferred to its first solve
+    (:func:`repro.core.planner._milp_api`).  Long-lived owners — a
+    serving front-end, a worker pool about to fork — call this up front
+    so the first request and every forked worker start with it loaded.
+    """
+    if backend == "milp":
+        _milp_api()
 
 
 @dataclass(frozen=True)
@@ -259,6 +276,8 @@ class SolverService:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
+                # Loaded before the fork, so workers inherit it.
+                preload_backend(self.config.backend)
                 # Ship a pristine copy: per-instance caches (bandwidths,
                 # cost tables) rebuild identically in the workers.
                 pristine = CostModel(
@@ -417,6 +436,7 @@ class SolverPool:
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
         self._clients: dict[str, PooledPlanner] = {}
+        self._backends: set[str] = set()
         self._finalizer = None
         self._dispatched = 0
 
@@ -447,11 +467,16 @@ class SolverPool:
             if client is None:
                 client = PooledPlanner(self, digest, blob)
                 self._clients[digest] = client
+                self._backends.add(config.backend)
             return client
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
+                # Tenants' backends are loaded before the fork, so
+                # workers inherit them.
+                for backend in self._backends:
+                    preload_backend(backend)
                 # The initializer arms the parent's fault schedule in
                 # each worker (a no-op outside chaos runs) so the
                 # ``plan`` injection point is live pool-side too.

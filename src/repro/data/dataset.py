@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads its random module on first use; loading it with the
+# program keeps that import out of the first sampled batch.
+import numpy.random  # noqa: F401
 
 from repro.data.distributions import LengthDistribution
 

@@ -74,23 +74,30 @@ def best_fit_decreasing(lengths: SequenceABC[int], capacity: int) -> list[Pack]:
     it, opening a new pack when none fits.
 
     Runs in O(K log K) using a sorted list of remaining capacities.
+    This loop is the baselines' per-batch hot path, so each open pack
+    is one integer key ``remaining * stride + pack_index`` (ordered
+    like the pair, since ``pack_index < stride``), and members are
+    wrapped in :class:`Pack` once at the end.
     """
     _check_inputs(lengths, capacity)
-    packs: list[Pack] = []
-    # Parallel sorted structure: remaining sizes with pack indices.
-    remaining: list[tuple[int, int]] = []  # (remaining, pack_index), sorted
+    if len(lengths) and sum(lengths) <= capacity:
+        # Everything fits the first pack, which stays the best fit.
+        return [Pack(capacity=capacity, lengths=sorted(lengths, reverse=True))]
+    members: list[list[int]] = []
+    stride = len(lengths) + 1  # more than the number of packs
+    keys: list[int] = []  # sorted
+    bisect_left, insort = bisect.bisect_left, bisect.insort
     for s in sorted(lengths, reverse=True):
-        pos = bisect.bisect_left(remaining, (s, -1))
-        if pos < len(remaining):
-            rem, idx = remaining.pop(pos)
-            packs[idx].add(s)
-            new_rem = rem - s
-            bisect.insort(remaining, (new_rem, idx))
+        # The smallest remaining space >= s, lowest pack index first.
+        pos = bisect_left(keys, s * stride)
+        if pos < len(keys):
+            key = keys.pop(pos)
+            members[key % stride].append(s)
+            insort(keys, key - s * stride)
         else:
-            pack = Pack(capacity=capacity, lengths=[s])
-            packs.append(pack)
-            bisect.insort(remaining, (pack.remaining, len(packs) - 1))
-    return packs
+            members.append([s])
+            insort(keys, (capacity - s) * stride + len(members) - 1)
+    return [Pack(capacity=capacity, lengths=m) for m in members]
 
 
 def first_fit_decreasing(lengths: SequenceABC[int], capacity: int) -> list[Pack]:

@@ -119,7 +119,7 @@ from repro.core.cache_store import (
 )
 from repro.core.faults import FaultSchedule, FaultStats
 from repro.core.planner import PlanInfeasibleError
-from repro.core.solver import SolverConfig, SolverPool
+from repro.core.solver import SolverConfig, SolverPool, preload_backend
 from repro.core.types import InfeasibleWorkloadError
 from repro.cost.model import CostModel
 from repro.cost.profiler import fit_cost_model
@@ -487,7 +487,10 @@ class WorkloadContext:
     exported prewarm state, shipped to shard workers by the fan-out
     dispatcher) restores exactly like a store load would.  With a
     ``solver_pool``, FlexSP solvers plan on the shared pool's workers
-    instead of owning pools of their own.
+    instead of owning pools of their own.  With ``fits``, contexts
+    sharing a ``(model_at_context, cluster, checkpointing)`` key share
+    one cost-model fit: the dict maps that key to fitted coefficients,
+    and each context builds its own :class:`CostModel` from them.
     """
 
     def __init__(
@@ -498,12 +501,14 @@ class WorkloadContext:
         store: CacheStore | None = None,
         solver_pool: SolverPool | None = None,
         preseed: WorkloadState | None = None,
+        fits: dict | None = None,
     ) -> None:
         self.workload = workload
         self.solver_config = solver_config
         self.vectorized = vectorized
         self.store = store
         self.solver_pool = solver_pool
+        self._fits = fits if fits is not None else {}
         self._signature = workload_signature(workload)
         self._corpus = workload.corpus()
         self._batches: dict[int, GlobalBatch] = {}
@@ -551,11 +556,20 @@ class WorkloadContext:
     def cost_model(self) -> CostModel:
         """The workload's fitted cost model (profiled or restored once)."""
         if self._cost_model is None:
-            self._cost_model = fit_cost_model(
-                self.workload.model_at_context,
-                self.workload.cluster,
-                self.workload.checkpointing,
+            workload = self.workload
+            key = (
+                workload.model_at_context,
+                workload.cluster,
+                workload.checkpointing,
             )
+            coeffs = self._fits.get(key)
+            if coeffs is None:
+                self._cost_model = fit_cost_model(*key)
+                self._fits[key] = self._cost_model.coeffs
+            else:
+                self._cost_model = CostModel(
+                    coeffs=coeffs, cluster=workload.cluster
+                )
         return self._cost_model
 
     def batch(self, step: int) -> GlobalBatch:
@@ -819,6 +833,7 @@ _WORKER_SOLVER_POOL: SolverPool | None = None
 _WORKER_STORE: CacheStore | None = None
 _WORKER_CELLS_SINCE_SPILL = 0
 _WORKER_PRESEED: dict = {}
+_WORKER_FITS: dict = {}
 _WORKER_TELEMETRY: dict = {
     "cells": 0,
     "context_builds": 0,
@@ -842,6 +857,7 @@ def _sweep_worker_init(
     )
     _WORKER_CONTEXTS.clear()
     _WORKER_PRESEED.clear()
+    _WORKER_FITS.clear()
     _WORKER_SOLVER_POOL = None
     _WORKER_CELLS_SINCE_SPILL = 0
     _WORKER_TELEMETRY.update(
@@ -918,6 +934,7 @@ def _sweep_worker_run(cell: SweepCell) -> CellMetrics:
             store=_WORKER_STORE,
             solver_pool=_WORKER_SOLVER_POOL,
             preseed=_WORKER_PRESEED.get(key),
+            fits=_WORKER_FITS,
         )
         _WORKER_TELEMETRY["context_builds"] += 1
         _WORKER_TELEMETRY["restore_seconds"] += (
@@ -1226,6 +1243,9 @@ class SweepRunner:
         #: SweepResult reports only its own realised injections.
         self._ledger_seen = 0
         self._contexts: dict[tuple, WorkloadContext] = {}
+        #: Fitted cost-model coefficients shared by this runner's
+        #: contexts (see ``WorkloadContext(fits=)``).
+        self._fits: dict = {}
         self._solver_pool: SolverPool | None = None
         #: One single-worker ProcessPoolExecutor per fan-out slot —
         #: the affinity mechanism: a shard dispatched to slot i always
@@ -1273,6 +1293,7 @@ class SweepRunner:
                 self.vectorized,
                 store=self.store,
                 solver_pool=self._ensure_solver_pool(),
+                fits=self._fits,
             )
             self._parent_context_builds += 1
             self._parent_restore_seconds += time.perf_counter() - started
@@ -1290,6 +1311,8 @@ class SweepRunner:
                 store_root = (
                     str(self.store.root) if self.store is not None else None
                 )
+                # Loaded before the fork, so slot workers inherit it.
+                preload_backend((self.solver_config or SolverConfig()).backend)
                 pool = ProcessPoolExecutor(
                     max_workers=1,
                     initializer=_sweep_worker_init,

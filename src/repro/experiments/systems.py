@@ -165,7 +165,31 @@ class FlexSPSystem:
         self.close()
 
 
-class DeepSpeedUlyssesSystem:
+class _BaselineSystem:
+    """A baseline whose iteration outcome is a pure function of the batch.
+
+    Outcomes are memoised per batch: a persistent sweep context asks
+    its baseline systems for the same batches on every pass, and each
+    uncached iteration re-packs and re-simulates the batch.  A repeated
+    batch replays its first outcome, host solve time included.
+    """
+
+    def __init__(self) -> None:
+        self._outcomes: dict[tuple[int, ...], IterationOutcome] = {}
+
+    def run_iteration(self, lengths: tuple[int, ...]) -> IterationOutcome:
+        lengths = tuple(lengths)
+        outcome = self._outcomes.get(lengths)
+        if outcome is None:
+            outcome = self._simulate(lengths)
+            self._outcomes[lengths] = outcome
+        return outcome
+
+    def _simulate(self, lengths: tuple[int, ...]) -> IterationOutcome:
+        raise NotImplementedError
+
+
+class DeepSpeedUlyssesSystem(_BaselineSystem):
     """Static homogeneous Ulysses SP + ZeRO-3 (the DeepSpeed baseline).
 
     The static degree is tuned once per workload against the task's
@@ -181,6 +205,7 @@ class DeepSpeedUlyssesSystem:
         probe_batches: list[tuple[int, ...]] | None = None,
         vectorized: bool = True,
     ):
+        super().__init__()
         self.name = "DeepSpeed"
         self.workload = workload
         self.cost_model = _workload_cost_model(workload, cost_model)
@@ -202,12 +227,12 @@ class DeepSpeedUlyssesSystem:
             vectorized=vectorized,
         )
 
-    def run_iteration(self, lengths: tuple[int, ...]) -> IterationOutcome:
-        plan = homogeneous_plan(tuple(lengths), self.cost_model, self.sp_degree)
+    def _simulate(self, lengths: tuple[int, ...]) -> IterationOutcome:
+        plan = homogeneous_plan(lengths, self.cost_model, self.sp_degree)
         return _executor_outcome(self.executor, plan, solve_seconds=0.0)
 
 
-class FlexSPBatchAdaSystem:
+class FlexSPBatchAdaSystem(_BaselineSystem):
     """FlexSP-BatchAda: best homogeneous SP degree per batch (S6.1)."""
 
     def __init__(
@@ -216,6 +241,7 @@ class FlexSPBatchAdaSystem:
         cost_model: CostModel | None = None,
         vectorized: bool = True,
     ):
+        super().__init__()
         self.name = "FlexSP-BatchAda"
         self.workload = workload
         self.vectorized = vectorized
@@ -227,17 +253,17 @@ class FlexSPBatchAdaSystem:
             vectorized=vectorized,
         )
 
-    def run_iteration(self, lengths: tuple[int, ...]) -> IterationOutcome:
+    def _simulate(self, lengths: tuple[int, ...]) -> IterationOutcome:
         start = time.perf_counter()
         degree, __ = choose_degree_for_batch(
-            tuple(lengths), self.cost_model, vectorized=self.vectorized
+            lengths, self.cost_model, vectorized=self.vectorized
         )
         solve_seconds = time.perf_counter() - start
-        plan = homogeneous_plan(tuple(lengths), self.cost_model, degree)
+        plan = homogeneous_plan(lengths, self.cost_model, degree)
         return _executor_outcome(self.executor, plan, solve_seconds)
 
 
-class MegatronLMSystem:
+class MegatronLMSystem(_BaselineSystem):
     """Tuned Megatron-LM baseline: TP (+SP) x CP x DP(ZeRO-1)."""
 
     def __init__(
@@ -248,6 +274,7 @@ class MegatronLMSystem:
         probe_batches: list[tuple[int, ...]] | None = None,
         vectorized: bool = True,
     ):
+        super().__init__()
         self.name = "Megatron-LM"
         self.workload = workload
         self.vectorized = vectorized
@@ -267,9 +294,9 @@ class MegatronLMSystem:
             )
         self.strategy = strategy
 
-    def run_iteration(self, lengths: tuple[int, ...]) -> IterationOutcome:
+    def _simulate(self, lengths: tuple[int, ...]) -> IterationOutcome:
         outcome = megatron_iteration(
-            tuple(lengths),
+            lengths,
             self.workload.model_at_context,
             self.workload.cluster,
             self.strategy,

@@ -47,7 +47,12 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.core.solver import FlexSPSolver, SolverConfig, SolverPool
+from repro.core.solver import (
+    FlexSPSolver,
+    SolverConfig,
+    SolverPool,
+    preload_backend,
+)
 from repro.core.types import IterationPlan
 from repro.experiments.sweep import WorkloadContext
 from repro.experiments.workloads import Workload
@@ -197,6 +202,9 @@ class PlanService:
                 f"{max_pending_per_tenant}"
             )
         self.solver_config = solver_config or SolverConfig()
+        # A resident service pays backend imports at construction, not
+        # on its first cold request.
+        preload_backend(self.solver_config.backend)
         if store is not None:
             from repro.core.cache_store import CacheStore
 
@@ -305,9 +313,11 @@ class PlanService:
         outside the lock (fits can be slow), then publishes it.
         """
         name = name or workload.name
+        solver_config = solver_config or self.solver_config
+        preload_backend(solver_config.backend)
         context = WorkloadContext(
             workload,
-            solver_config=solver_config or self.solver_config,
+            solver_config=solver_config,
             store=self.store,
             solver_pool=self._pool,
         )

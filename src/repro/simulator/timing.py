@@ -191,10 +191,10 @@ def segment_sequential_sums(
     summation above ~8 elements and round differently.)
 
     The trick: lay the segments out as rows of a zero-padded matrix and
-    add the columns up one by one.  Adding the 0.0 padding is an exact
-    no-op for the non-negative addends used here, so short rows finish
-    early without perturbing their accumulator.  One vectorized add per
-    column replaces a Python-level loop over every element.
+    accumulate along the rows.  ``np.add.accumulate`` is strictly
+    sequential (unlike ``reduce``), and adding the 0.0 padding is an
+    exact no-op for the non-negative addends used here, so each row's
+    last running total is its left-to-right sum.
 
     Args:
         values: Concatenated segment values; must be non-negative (or
@@ -212,10 +212,7 @@ def segment_sequential_sums(
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     cols = np.arange(values.shape[0]) - np.repeat(starts, counts)
     padded[rows, cols] = values
-    acc = padded[:, 0].copy()
-    for column in range(1, width):
-        acc += padded[:, column]
-    return acc
+    return np.add.accumulate(padded, axis=1)[:, -1]
 
 
 def _segment_token_sums(flat_lengths: np.ndarray, counts: np.ndarray) -> np.ndarray:

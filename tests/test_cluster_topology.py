@@ -67,6 +67,32 @@ class TestGroupLinks:
             standard_cluster(8).group_link(())
 
 
+class TestLinkForDegreeMemo:
+    @pytest.mark.parametrize("num_gpus", [4, 16, 64])
+    def test_matches_uncached_canonical_group(self, num_gpus):
+        cluster = standard_cluster(num_gpus)
+        for degree in range(1, num_gpus + 1):
+            expected = cluster.group_link(cluster.contiguous_group(0, degree))
+            assert cluster.link_for_degree(degree) == expected
+            # A second, cached lookup returns the same link.
+            assert cluster.link_for_degree(degree) == expected
+
+    @pytest.mark.parametrize("degree", [0, -1, 9, 64])
+    def test_validation_runs_on_every_call(self, degree):
+        cluster = standard_cluster(8)
+        cluster.link_for_degree(8)
+        for __ in range(2):
+            with pytest.raises(ValueError):
+                cluster.link_for_degree(degree)
+
+    def test_equal_clusters_share_entries(self):
+        first = ClusterSpec(num_nodes=3, gpus_per_node=8)
+        second = ClusterSpec(num_nodes=3, gpus_per_node=8)
+        assert first is not second and first == second
+        for degree in (1, 8, 12, 24):
+            assert first.link_for_degree(degree) is second.link_for_degree(degree)
+
+
 class TestStandardCluster:
     def test_paper_shape(self):
         cluster = standard_cluster(64)

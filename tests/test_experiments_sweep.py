@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.solver import SolverConfig
+from repro.experiments import sweep
+from repro.experiments.campaign import build_campaign
 from repro.cluster.topology import standard_cluster
 from repro.data.distributions import COMMONCRAWL, GITHUB
 from repro.experiments.runner import run_system
@@ -110,6 +112,38 @@ class TestWorkloadContext:
             context.system("flexsp").cost_model
             is context.system("deepspeed").cost_model
         )
+
+
+class _ForgetfulFits(dict):
+    """A fit memo that never stores: every context fits for itself."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class TestOneFitPerRunner:
+    def _cold_unified(self, monkeypatch, share_fits: bool):
+        calls = []
+        fit = sweep.fit_cost_model
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "fit_cost_model", counting_fit)
+        with SweepRunner(solver_config=SOLVER) as runner:
+            if not share_fits:
+                runner._fits = _ForgetfulFits()
+            result = build_campaign("unified").run(runner)
+        metrics = [m.deterministic() for m in result.sweep.metrics]
+        return len(calls), len(set(calls)), metrics
+
+    def test_one_fit_per_distinct_key(self, monkeypatch):
+        fits, distinct, shared = self._cold_unified(monkeypatch, True)
+        assert fits == distinct == 7
+        unshared_fits, __, unshared = self._cold_unified(monkeypatch, False)
+        assert unshared_fits > fits
+        assert shared == unshared
 
 
 class TestSweepRunner:

@@ -104,6 +104,22 @@ class TestMegatronSystem:
         assert system.run_iteration(batch).iteration_seconds > 0
 
 
+class TestBaselineOutcomeMemo:
+    @pytest.mark.parametrize("name", ["deepspeed", "batchada", "megatron"])
+    def test_repeated_batch_replays_first_outcome(
+        self, small_workload, batch, name, monkeypatch
+    ):
+        system = build_system(name, small_workload)
+        first = system.run_iteration(batch)
+        monkeypatch.setattr(
+            system, "_simulate", lambda lengths: pytest.fail("re-simulated")
+        )
+        assert system.run_iteration(list(batch)) is first
+        fresh = build_system(name, small_workload).run_iteration(batch)
+        assert fresh.iteration_seconds == first.iteration_seconds
+        assert fresh.comm_seconds == first.comm_seconds
+
+
 class TestBuildSystem:
     def test_builds_all_known(self, small_workload, fast_solver_config):
         flexsp = build_system(
