@@ -15,6 +15,7 @@ these systems are stuck with large, slow groups: under a 384K limit on
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import chain
 
@@ -71,8 +72,18 @@ def _pack_batch(
     num_groups = max(model.cluster.num_gpus // sp_degree, 1)
     balanced = -(-sum(lengths) // num_groups)  # ceil
     target = min(capacity, max(balanced, max(lengths)))
-    packs = best_fit_decreasing(lengths, target)
-    return [tuple(p.lengths) for p in packs]
+    return list(_packed(tuple(lengths), target))
+
+
+@functools.lru_cache(maxsize=256)
+def _packed(lengths: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ...]:
+    """Memoised :func:`best_fit_decreasing` of one batch.
+
+    DeepSpeed, BatchAda's degree estimate and BatchAda's plan pack the
+    same batch at the same targets; callers get a fresh list each time
+    because they sort it in place.
+    """
+    return tuple(tuple(p.lengths) for p in best_fit_decreasing(lengths, target))
 
 
 def homogeneous_plan(

@@ -68,21 +68,16 @@ class ClusterSpec:
         return len({self.node_of(r) for r in ranks})
 
     def group_link(self, ranks: tuple[int, ...]) -> LinkSpec:
-        """Effective per-GPU link for a communication group of ``ranks``."""
+        """Effective per-GPU link for a communication group of ``ranks``.
+
+        Memoised per ``(cluster, ranks)`` process-wide (equal clusters
+        share entries): every executor charges the same few groups on
+        every plan, and each uncached lookup scans every member rank.
+        Out-of-range ranks raise from the scan, which is never cached.
+        """
         if not ranks:
             raise ValueError("group must contain at least one rank")
-        spans = self.nodes_spanned(ranks)
-        if spans == 1:
-            return self.network.group_link(
-                group_gpus_per_node=len(ranks), spans_nodes=1, total_nodes=self.num_nodes
-            )
-        per_node = max(
-            sum(1 for r in ranks if self.node_of(r) == node)
-            for node in {self.node_of(r) for r in ranks}
-        )
-        return self.network.group_link(
-            group_gpus_per_node=per_node, spans_nodes=spans, total_nodes=self.num_nodes
-        )
+        return _group_link(self, tuple(ranks))
 
     def link_for_degree(self, degree: int) -> LinkSpec:
         """Effective per-GPU link for a canonically placed group of ``degree``.
@@ -131,6 +126,22 @@ class ClusterSpec:
     def total_memory_budget(self) -> float:
         """Sum of usable device memory across the cluster, bytes."""
         return self.num_gpus * self.gpu.usable_memory_bytes
+
+
+@functools.lru_cache(maxsize=4096)
+def _group_link(cluster: ClusterSpec, ranks: tuple[int, ...]) -> LinkSpec:
+    spans = cluster.nodes_spanned(ranks)
+    if spans == 1:
+        return cluster.network.group_link(
+            group_gpus_per_node=len(ranks), spans_nodes=1, total_nodes=cluster.num_nodes
+        )
+    per_node = max(
+        sum(1 for r in ranks if cluster.node_of(r) == node)
+        for node in {cluster.node_of(r) for r in ranks}
+    )
+    return cluster.network.group_link(
+        group_gpus_per_node=per_node, spans_nodes=spans, total_nodes=cluster.num_nodes
+    )
 
 
 @functools.lru_cache(maxsize=1024)

@@ -26,7 +26,6 @@ from repro.cost.model import CostModel
 from repro.cost.profiler import fit_cost_model
 from repro.experiments.workloads import Workload
 from repro.simulator.executor import IterationExecutor
-from repro.simulator.trace import PhaseKind
 
 
 def _workload_cost_model(
@@ -94,8 +93,8 @@ def _executor_outcome(
     solve_seconds: float,
 ) -> IterationOutcome:
     result = executor.run(plan)
-    alltoall = result.trace.alltoall_seconds()
-    comm = alltoall + result.trace.wall_seconds(PhaseKind.GRAD_SYNC)
+    alltoall = result.alltoall_seconds
+    comm = alltoall + result.grad_sync_seconds
     return IterationOutcome(
         iteration_seconds=result.iteration_seconds,
         comm_seconds=comm,

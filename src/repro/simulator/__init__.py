@@ -1,14 +1,14 @@
-"""Discrete-event execution substrate.
+"""Closed-form execution substrate.
 
 Replaces the paper's PyTorch/NCCL runtime: ground-truth kernel and
-collective timing (:mod:`repro.simulator.timing`), a discrete-event
-engine (:mod:`repro.simulator.engine`), the iteration executor that
-runs plans on a simulated cluster (:mod:`repro.simulator.executor`)
-and the execution trace used for time breakdowns
-(:mod:`repro.simulator.trace`).
+collective timing (:mod:`repro.simulator.timing`), the iteration
+executor that charges a whole plan on a simulated cluster in one pass
+over its group timings (:mod:`repro.simulator.executor`), and the
+execution trace used for time breakdowns
+(:mod:`repro.simulator.trace`), which the executor replays on demand
+from the captured timings.
 """
 
-from repro.simulator.engine import DiscreteEventEngine, Event
 from repro.simulator.executor import ExecutionResult, IterationExecutor
 from repro.simulator.timing import (
     TimingTable,
@@ -21,8 +21,6 @@ from repro.simulator.timing import (
 from repro.simulator.trace import PhaseKind, TracePhase, TraceRecorder
 
 __all__ = [
-    "DiscreteEventEngine",
-    "Event",
     "IterationExecutor",
     "ExecutionResult",
     "group_compute_time",

@@ -25,15 +25,15 @@ class PhaseKind(enum.Enum):
     IDLE = "idle"
 
 
-#: Phases that count as "Others" in the Fig. 5a breakdown.
-OTHER_KINDS = frozenset(
-    {
-        PhaseKind.COMPUTE,
-        PhaseKind.ZERO_GATHER,
-        PhaseKind.GRAD_SYNC,
-        PhaseKind.OPTIMIZER,
-        PhaseKind.IDLE,
-    }
+#: Phases that count as "Others" in the Fig. 5a breakdown.  A tuple,
+#: not a set: :meth:`TraceRecorder.others_seconds` sums in this order,
+#: and set order follows the per-process string hash seed.
+OTHER_KINDS = (
+    PhaseKind.COMPUTE,
+    PhaseKind.ZERO_GATHER,
+    PhaseKind.GRAD_SYNC,
+    PhaseKind.OPTIMIZER,
+    PhaseKind.IDLE,
 )
 
 

@@ -1,13 +1,18 @@
 """Tests for repro.baselines.homogeneous: the DeepSpeed-style baseline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.homogeneous import (
+    _pack_batch,
     estimate_homogeneous_iteration,
     feasible_static_degrees,
     group_token_capacity,
     homogeneous_plan,
 )
+from repro.core.types import InfeasibleWorkloadError
+from repro.data.packing import best_fit_decreasing
 
 
 class TestCapacityAndFeasibility:
@@ -100,3 +105,32 @@ class TestEstimate:
         t8 = estimate_homogeneous_iteration(lengths, cost_model16, 8)
         t16 = estimate_homogeneous_iteration(lengths, cost_model16, 16)
         assert t8 < t16
+
+
+class TestPackMemo:
+    @given(
+        lengths=st.lists(st.integers(1, 48 * 1024), min_size=1, max_size=60),
+        sp_degree=st.sampled_from([8, 16]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_best_fit_decreasing(self, cost_model16, lengths, sp_degree):
+        lengths = tuple(lengths)
+        capacity = group_token_capacity(cost_model16, sp_degree)
+        num_groups = cost_model16.cluster.num_gpus // sp_degree
+        balanced = -(-sum(lengths) // num_groups)
+        target = min(capacity, max(balanced, max(lengths)))
+        expected = [tuple(p.lengths) for p in best_fit_decreasing(lengths, target)]
+        first = _pack_batch(lengths, cost_model16, sp_degree)
+        assert first == expected
+        # Callers sort and extend the list they get; the memo must not see it.
+        first.sort(key=sum)
+        first.append((1,))
+        assert _pack_batch(lengths, cost_model16, sp_degree) == expected
+        assert _pack_batch(list(lengths), cost_model16, sp_degree) == expected
+
+    def test_capacity_checked_on_every_call(self, cost_model16):
+        too_long = (group_token_capacity(cost_model16, 1) + 1, 1024)
+        _pack_batch((1024,), cost_model16, 1)
+        for __ in range(2):
+            with pytest.raises(InfeasibleWorkloadError):
+                _pack_batch(too_long, cost_model16, 1)

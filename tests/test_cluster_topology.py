@@ -1,8 +1,10 @@
 """Tests for repro.cluster.topology: placement and group links."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.topology import ClusterSpec, standard_cluster
+from repro.cluster.topology import ClusterSpec, _group_link, standard_cluster
 
 
 class TestClusterSpec:
@@ -91,6 +93,52 @@ class TestLinkForDegreeMemo:
         assert first is not second and first == second
         for degree in (1, 8, 12, 24):
             assert first.link_for_degree(degree) is second.link_for_degree(degree)
+
+
+@st.composite
+def cluster_and_ranks(draw):
+    """A cluster shape and a sorted rank set: contiguous or scattered,
+    inside one node or across several."""
+    cluster = ClusterSpec(
+        num_nodes=draw(st.integers(1, 8)),
+        gpus_per_node=draw(st.sampled_from([1, 2, 4, 6, 8])),
+    )
+    ranks = draw(
+        st.sets(st.integers(0, cluster.num_gpus - 1), min_size=1, max_size=64)
+    )
+    return cluster, tuple(sorted(ranks))
+
+
+class TestGroupLinkMemo:
+    @given(case=cluster_and_ranks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_uncached_scan(self, case):
+        cluster, ranks = case
+        expected = _group_link.__wrapped__(cluster, ranks)
+        assert cluster.group_link(ranks) == expected
+        # A second, cached lookup (and an equal cluster) agree.
+        assert cluster.group_link(ranks) == expected
+        twin = ClusterSpec(
+            num_nodes=cluster.num_nodes, gpus_per_node=cluster.gpus_per_node
+        )
+        assert twin.group_link(list(ranks)) == expected
+
+    @pytest.mark.parametrize("ranks", [(), (8,), (0, 8), (-1, 0), (3, 99)])
+    def test_validation_runs_on_every_call(self, ranks):
+        cluster = standard_cluster(8)
+        cluster.group_link(tuple(range(8)))
+        for __ in range(2):
+            with pytest.raises(ValueError):
+                cluster.group_link(ranks)
+
+    def test_multi_node_group_uses_busiest_node(self):
+        cluster = standard_cluster(16)
+        scattered = (0, 1, 2, 9)  # three members on node 0, one on node 1
+        expected = cluster.network.group_link(
+            group_gpus_per_node=3, spans_nodes=2, total_nodes=2
+        )
+        assert cluster.group_link(scattered) == expected
+        assert cluster.group_link(scattered) == expected
 
 
 class TestStandardCluster:

@@ -1,5 +1,10 @@
 """Tests for repro.simulator.trace: phase traces and breakdowns."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.simulator.trace import PhaseKind, TracePhase, TraceRecorder
@@ -81,3 +86,29 @@ class TestRecorder:
 
     def test_empty_fraction_zero(self):
         assert TraceRecorder(total_devices=4).alltoall_fraction() == 0.0
+
+
+def test_others_seconds_independent_of_hash_seed():
+    """``others_seconds`` sums its kinds in one fixed order, so rounding
+    (and every All-to-All share) is the same in every process."""
+    code = """
+from repro.simulator.trace import PhaseKind, TracePhase, TraceRecorder
+rec = TraceRecorder(total_devices=1)
+for kind, seconds in [
+    (PhaseKind.COMPUTE, 1.0), (PhaseKind.ZERO_GATHER, 1.0),
+    (PhaseKind.GRAD_SYNC, 1e16), (PhaseKind.OPTIMIZER, 3.0),
+    (PhaseKind.IDLE, 1e-3),
+]:
+    rec.record(TracePhase(kind=kind, start=0.0, duration=seconds, devices=1))
+print(rec.others_seconds().hex())
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    sums = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        sums.add(out.stdout.strip())
+    assert sums == {((((1.0 + 1.0) + 1e16) + 3.0) + 1e-3).hex()}
