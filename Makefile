@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-fast bench bench-smoke bench-all bench-solver bench-e2e \
 	bench-prune bench-scaleout bench-calibrate bench-chaos \
 	bench-chaos-smoke bench-kernels bench-service bench-service-smoke \
-	bench-service-net bench-service-net-smoke
+	bench-service-net bench-service-net-smoke perfbench
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -119,3 +119,15 @@ bench-solver:
 # benchmarks/results/BENCH_e2e.json for trajectory tracking.
 bench-e2e:
 	$(PYTHON) -m repro.bench e2e_sweep
+
+# The repository benchmark (perfbench/, declared by BENCHMARK.json): one
+# workload end to end, metrics by name and unit, a JSON result line
+# last.  TRACE=1 adds the per-layer table.  Run it in two checkouts,
+# alternating, to compare a change against its parent.
+WORKLOAD ?= campaign
+SEED ?= 1
+SECONDS ?= 45
+TRACE ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+		--seconds $(SECONDS) --trace $(TRACE)

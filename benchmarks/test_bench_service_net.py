@@ -35,7 +35,7 @@ from __future__ import annotations
 from benchmarks.conftest import FULL
 from repro.core.pools import live_pool_count
 from repro.experiments.reporting import format_table
-from repro.service.benchmark import run_transport_benchmark
+from repro.service.benchmark import format_tail, run_transport_benchmark
 from repro.service.traffic import service_jobs
 
 MAX_CONTEXT = (32 if FULL else 16) * 1024
@@ -128,7 +128,7 @@ def test_smoke_conn_reset_recovered(emit, bench_json_history):
         f"{transport['served']} served of {transport['requests']} "
         f"requests, {transport['retries']} retries, "
         f"{transport['reconnects']} reconnects, p50 "
-        f"{transport['p50_ms']} ms, p99 {transport['p99_ms']} ms, "
+        f"{transport['p50_ms']} ms, {format_tail(transport)}, "
         f"{record['bit_identical_verified']}/{record['unique_shapes']} "
         "bit-identical to cold solves"
     )
@@ -156,7 +156,7 @@ def test_network_chaos_matrix(emit, bench_json_history):
                 str(transport["reconnects"]),
                 str(transport["server"]["replayed"]),
                 f"{transport['p50_ms']:.2f}",
-                f"{transport['p99_ms']:.2f}",
+                format_tail(transport),
             )
         )
         bench_json_history("service", record)
@@ -172,7 +172,7 @@ def test_network_chaos_matrix(emit, bench_json_history):
                 "reconnects",
                 "replayed",
                 "p50 (ms)",
-                "p99 (ms)",
+                "tail",
             ],
             rows,
         )

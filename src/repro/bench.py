@@ -886,7 +886,7 @@ def run_service(args: argparse.Namespace) -> int:
 def _run_service(args: argparse.Namespace) -> int:
     """Replay the seeded trace through a resident PlanService."""
     from repro.experiments.reporting import format_table
-    from repro.service.benchmark import run_service_benchmark
+    from repro.service.benchmark import format_tail, run_service_benchmark
     from repro.service.traffic import service_jobs
 
     jobs = service_jobs(
@@ -919,7 +919,7 @@ def _run_service(args: argparse.Namespace) -> int:
             str(record[key]["served"]),
             f"{record[key]['plans_per_second']:.1f}",
             f"{record[key]['p50_ms']:.2f}",
-            f"{record[key]['p99_ms']:.2f}",
+            format_tail(record[key]),
         )
         for phase, key in (
             ("burst (cold)", "cold_phase"),
@@ -930,7 +930,7 @@ def _run_service(args: argparse.Namespace) -> int:
     print()
     print(
         format_table(
-            ["phase", "served", "plans/s", "p50 (ms)", "p99 (ms)"],
+            ["phase", "served", "plans/s", "p50 (ms)", "tail"],
             rows,
             title="PlanService trace replay",
         )
@@ -958,7 +958,7 @@ def _run_service(args: argparse.Namespace) -> int:
 def _run_service_transport(args: argparse.Namespace, jobs) -> int:
     """Replay the seeded trace through the TCP transport against a
     remote ``--serve`` process (the multi-host half of service mode)."""
-    from repro.service.benchmark import run_transport_benchmark
+    from repro.service.benchmark import format_tail, run_transport_benchmark
 
     host, port = args.connect
     print(
@@ -984,7 +984,7 @@ def _run_service_transport(args: argparse.Namespace, jobs) -> int:
         f"\n[service] transport: {transport['served']} served / "
         f"{transport['shed']} shed of {transport['requests']} requests in "
         f"{transport['wall_seconds']}s "
-        f"(p50 {transport['p50_ms']} ms, p99 {transport['p99_ms']} ms); "
+        f"(p50 {transport['p50_ms']} ms, {format_tail(transport)}); "
         f"{transport['retries']} retries, {transport['reconnects']} "
         f"reconnects, {transport['degraded']} degraded"
         + (

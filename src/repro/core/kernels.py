@@ -140,13 +140,15 @@ def _lpt_stacked_body(
 ):
     """Whole-family LPT pass (``_assign_lpt_stacked`` twin).
 
-    Replays the stacked numpy pass layout-by-layout: identical
-    elementwise candidate formula, leftmost argmin per step (strict
-    ``<`` scan == ``np.argmin``), dead layouts stop updating state
-    and keep ``choices == -1``, final makespans via the ``group_time``
-    expression over non-empty lanes, leftmost-minimum winner.
-    Padding lanes carry ``cap == -1`` so they are never feasible.
-    Returns ``(feasible, choices, makespans, winner)``.
+    Same contract as the fallback, evaluated layout by layout: the
+    same elementwise candidate formula, the leftmost minimum-time
+    feasible lane per step (strict ``<`` scan == ``np.argmin``), final
+    makespans via the ``group_time`` expression over non-empty lanes,
+    and the leftmost-minimum winner.  A layout dies at the first step
+    no lane can take: its ``choices`` are ``-1`` from that step on and
+    its makespan is ``inf``.  Padding lanes carry ``cap == -1`` so
+    they are never feasible.  Returns ``(feasible, choices, makespans,
+    winner)``; ``feasible`` is False when every layout dies.
     """
     n = ordered.shape[0]
     num_layouts, width = caps.shape

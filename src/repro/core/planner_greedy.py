@@ -39,7 +39,7 @@ Narrow families take a scalar per-layout loop instead (same
 arithmetic, no array overhead).  The crossover is measured, not
 guessed: both paths cost one candidate evaluation per *live lane* per
 placed sequence, the scalar loop paying ~0.5-1 us of Python per lane
-and the stacked pass a lane-count-independent ~20-30 us of numpy
+and the stacked pass a nearly lane-count-independent ~10-15 us of numpy
 dispatch per step — so the deciding variable is the surviving
 family's total lane count (groups summed over surviving layouts), not
 the sequence count.  :func:`calibrate_vector_threshold` times both
@@ -48,14 +48,14 @@ stacked pass starts winning; since the compiled hot-kernel tier the
 measurement also records which tier (native/fallback, see
 :mod:`repro.core.kernels`) it ran on — the crossover moves when both
 loops are jitted, so a threshold is only valid for its tier.
-Calibrated 2026-08 on the reference container (single-core, numpy
-2.x, fallback tier): the stacked pass wins from the narrowest family
-the calibrator keeps alive (the 16-GPU family, ~43 lanes) and again
-at ~74 lanes, while the widest measured family (~135 lanes at 64
-GPUs) is contested — the scalar loop's equal-length candidate cache
-keeps it competitive there — so the threshold sits at the measured
-stacked-wins floor of 43 lanes.  Re-run the calibrator after numpy,
-numba or hardware changes.
+Calibrated 2026-10 on a 2-CPU x86 host (numpy 2.4, fallback tier),
+with the flat in-place stacked pass: the scalar loop wins the
+narrowest family (8 GPUs, ~15 lanes) and the stacked pass wins every
+wider one (~43, ~74 and ~135 lanes, at 16, 32 and 64 GPUs), so the
+threshold is the geometric midpoint of 15 and 43, 25 lanes.  Four of
+five runs gave these samples; the fifth had the stacked pass win the
+15-lane family too, so that family is close to a tie.  Re-run the
+calibrator after numpy, numba or hardware changes.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _layout_stack(model: CostModel, longest: int) -> LayoutStack:
 #: which the scalar per-layout loop beats the stacked numpy pass; both
 #: paths are bit-identical.  Set from
 #: :func:`calibrate_vector_threshold` (see the module docstring).
-_VECTOR_THRESHOLD = 43
+_VECTOR_THRESHOLD = 25
 
 
 def _assign_lpt_stacked(
@@ -215,41 +215,71 @@ def _assign_lpt_stacked(
         layout the per-layout reference loop would keep.  ``None``
         when every layout dies.
     """
-    caps = stack.caps[rows]
-    degrees = stack.degrees[rows]
-    cpt = stack.comm_per_token[rows]
-    comm_beta = stack.comm_beta[rows]
+    # Lane matrices are kept flat (``layout * width + lane``) in
+    # buffers allocated once per call, and every lane-wide step runs in
+    # place; only the per-layout picks (argmin + row offset, then flat
+    # gathers and updates) allocate, at one element per layout.  The
+    # picked lanes take their already computed ``work + term`` and
+    # ``tokens + s``, the same values an in-place add would produce.
+    # Dead layouts keep stepping on state nobody reads: the step that
+    # kills a layout finds every lane over its cap and still places on
+    # the argmin, so its death step is its first over-cap placement,
+    # and its choices from there on are masked to -1 after the loop.
+    caps = stack.caps[rows].ravel()
+    degrees = stack.degrees[rows].ravel()
+    cpt = stack.comm_per_token[rows].ravel()
+    comm_beta = stack.comm_beta[rows].ravel()
+    alpha1 = table.alpha1
+    alpha2 = table.alpha2
     beta1 = table.beta1
     gather = table.gather
     exposed = table.exposed_gather
-    num_layouts, width = caps.shape
-    work = np.zeros((num_layouts, width))
-    tokens = np.zeros((num_layouts, width))
-    alive = np.ones(num_layouts, dtype=bool)
-    choices = np.full((len(ordered), num_layouts), -1, dtype=np.intp)
-    layout_axis = np.arange(num_layouts)
+    num_layouts, width = len(rows), stack.caps.shape[1]
+    n = len(ordered)
+    work = np.zeros(num_layouts * width)
+    tokens = np.zeros(num_layouts * width)
+    new_work = np.empty_like(tokens)
+    new_tokens = np.empty_like(tokens)
+    cand = np.empty_like(tokens)
+    comm = np.empty_like(tokens)
+    over = np.empty(tokens.shape, dtype=bool)
+    cand_rows = cand.reshape(num_layouts, width)
+    offsets = np.arange(0, num_layouts * width, width, dtype=np.intp)
+    placed = np.empty((n, num_layouts))
+    choices = np.empty((n, num_layouts), dtype=np.intp)
 
     for step, s in enumerate(ordered):
-        term = table.alpha1 * float(s) * float(s) + table.alpha2 * float(s)
-        new_tokens = tokens + s
-        # Inlined CostTable.group_times over the hoisted lane matrices
+        term = alpha1 * float(s) * float(s) + alpha2 * float(s)
+        # Inlined CostTable.group_times over the hoisted lane vectors
         # (same elementwise IEEE ops in the same order).
-        comp = (work + term) / degrees + beta1
-        comm = cpt * new_tokens + comm_beta
-        cand = comp + comm
+        np.add(tokens, s, out=new_tokens)
+        np.add(work, term, out=new_work)
+        np.divide(new_work, degrees, out=cand)
+        np.add(cand, beta1, out=cand)
+        np.multiply(cpt, new_tokens, out=comm)
+        np.add(comm, comm_beta, out=comm)
+        np.add(cand, comm, out=cand)
         if gather > 0:
-            cand = np.maximum(cand + exposed, comm + gather)
-        cand = np.where(new_tokens > caps, np.inf, cand)
-        best = np.argmin(cand, axis=1)
-        fits = np.isfinite(cand[layout_axis, best]) & alive
-        alive &= fits
-        if not alive.any():
-            return None
-        lanes = best[fits]
-        work[fits, lanes] += term
-        tokens[fits, lanes] += s
-        choices[step, fits] = lanes
+            np.add(cand, exposed, out=cand)
+            np.add(comm, gather, out=comm)
+            np.maximum(cand, comm, out=cand)
+        np.greater(new_tokens, caps, out=over)
+        np.putmask(cand, over, np.inf)
+        lanes = cand_rows.argmin(axis=1)
+        choices[step] = lanes
+        flat = lanes + offsets
+        work[flat] = new_work[flat]
+        tokens[flat] = placed[step] = new_tokens[flat]
 
+    dead = placed > caps[choices + offsets]
+    alive = ~dead.any(axis=0)
+    if not alive.any():
+        return None
+    if not alive.all():
+        death = np.where(alive, n, dead.argmax(axis=0))
+        choices[np.arange(n)[:, None] >= death] = -1
+    work = work.reshape(num_layouts, width)
+    tokens = tokens.reshape(num_layouts, width)
     finish = table.group_times(work, tokens, stack.degree_idx[rows])
     makespans = np.where(tokens > 0, finish, -np.inf).max(axis=1)
     makespans = np.where(alive, makespans, np.inf)
@@ -564,8 +594,14 @@ def calibrate_vector_threshold(
         )
         table = cost_table(model)
         # Scale lengths with the cluster so capacity pruning keeps the
-        # family wide (the regime the threshold decides).
-        top = 300 * num_gpus
+        # family wide (the regime the threshold decides), but keep the
+        # batch's expected total within ~3/4 of the cluster: a batch
+        # that overfills it prunes the whole family, which left the
+        # narrowest (8-GPU) family unsampled.
+        top = min(
+            300 * num_gpus,
+            int(1.5 * model.cluster_token_capacity() / sequence_count),
+        )
         lengths = tuple(
             int(s) for s in rng.integers(256, top, size=sequence_count)
         )

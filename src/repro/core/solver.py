@@ -29,6 +29,7 @@ S4.3, plus this repo's cross-trial reuse):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -48,6 +49,7 @@ from repro.core.blaster import (
 from repro.core.plan_cache import (
     DEFAULT_CAPACITY,
     INFEASIBLE,
+    CacheContext,
     PlanCache,
     cache_context,
     canonical_shape,
@@ -72,6 +74,11 @@ _BACKENDS = {
     "milp": plan_microbatch,
     "greedy": plan_microbatch_greedy,
 }
+
+#: Backends whose planner ignores :class:`PlannerConfig`: one shape
+#: plans the same under every planner config (see
+#: :attr:`FlexSPSolver.planning_key`).
+_CONFIG_FREE_BACKENDS = frozenset({"greedy"})
 
 
 def preload_backend(backend: str) -> None:
@@ -595,6 +602,21 @@ class FlexSPSolver:
         hot-loop lookup relies on.
         """
         return self._context
+
+    @functools.cached_property
+    def planning_key(self) -> CacheContext:
+        """What one shape's plan depends on: :attr:`context` with the
+        planner config dropped for backends that ignore it.
+
+        Solvers with equal keys plan every shape identically even when
+        their cache contexts differ (the Fig. 7 bucketing variants
+        under the greedy backend), so a batch planner may plan their
+        shapes once and seed each solver with the outcome.
+        """
+        if self.config.backend not in _CONFIG_FREE_BACKENDS:
+            return self._context
+        model, __, backend = self._context.signature
+        return CacheContext((model, None, backend))
 
     def minimum_microbatches(self, batch: SequenceBatch) -> int:
         """``M_min`` for this batch on this cluster (takeaway 1)."""

@@ -421,9 +421,12 @@ class SweepResult:
             land after the last collection and are absent from every
             pass's delta — the figure is a lower bound, short by at
             most one merge-save per dirty workload per such worker.
-        prewarm_planned: Micro-batch shapes the cold-batching pass
-            planned up front (0 when prewarming was off, fanned out,
-            or everything was already cached/restored).
+        prewarm_planned: Distinct planning problems the cold-batching
+            pass solved up front — micro-batch shapes, deduplicated
+            across cache contexts that plan identically (see
+            :attr:`~repro.core.solver.FlexSPSolver.planning_key`); 0
+            when prewarming was off or everything was already
+            cached/restored.
         prewarm_seconds: Wall-clock of that pass (inside
             ``wall_seconds``).
         prewarm_stage_seconds: Its cold-path stage breakdown, same
@@ -1140,8 +1143,10 @@ class SweepRunner:
             (:meth:`~repro.core.solver.FlexSPSolver.pending_shapes`);
             the union is deduplicated *at planner-call granularity*
             across cells — variant cells that share a planning
-            context (e.g. the sort ablation) are planned once — and
-            dispatched in sorted shape order, through the shared
+            context (e.g. the sort ablation), or whose contexts differ
+            only in a planner config their backend ignores (the
+            greedy backend's bucketing variants), are planned once —
+            and dispatched in sorted shape order, through the shared
             :class:`~repro.core.solver.SolverPool` when one is
             configured, so MILP skeleton reuse and worker locality
             trigger.  Seeded plans are bit-identical to what each
@@ -1432,13 +1437,23 @@ class SweepRunner:
     ) -> tuple[int, float, dict[str, float]]:
         """The campaign-level cold-batching pass (see the ``prewarm``
         constructor doc): collect every FlexSP cell's uncached
-        micro-batch shapes, dedup by planning context, plan the union
-        in sorted shape order, and seed every sharing solver's cache.
+        micro-batch shapes per cache context, plan the union of each
+        :attr:`~repro.core.solver.FlexSPSolver.planning_key` group once
+        in sorted shape order, and seed every solver with exactly its
+        own context's shapes.
+
+        Contexts that differ only in a planner config their backend
+        ignores (the Fig. 7 bucketing variants under the greedy
+        backend) share one planning key, so a shape they have in
+        common is planned once.  Seeding stays per context: a solver
+        caches the same entries, in the same order, as without the
+        grouping.
 
         Infeasible cells are skipped here exactly as
         :meth:`WorkloadContext.run` would convert them to OOM cells;
-        the real measurement still reports them.  Returns (shapes
-        planned, wall seconds, stage-seconds breakdown).
+        the real measurement still reports them.  Returns (distinct
+        planning problems solved, wall seconds, stage-seconds
+        breakdown).
         """
         started = time.perf_counter()
         by_context: dict[object, dict] = {}
@@ -1464,22 +1479,31 @@ class SweepRunner:
                     entry["shapes"].update(pending)
             except (PlanInfeasibleError, InfeasibleWorkloadError):
                 continue
+        by_key: dict[object, list[dict]] = {}
+        for entry in by_context.values():
+            key = entry["solvers"][0].planning_key
+            by_key.setdefault(key, []).append(entry)
         planned = 0
         stages: dict[str, float] = {}
-        for entry in by_context.values():
-            shapes = sorted(entry["shapes"], key=lambda s: (len(s), s))
-            representative = entry["solvers"][0]
+        for entries in by_key.values():
+            union = set().union(*(entry["shapes"] for entry in entries))
+            shapes = sorted(union, key=lambda s: (len(s), s))
+            representative = entries[0]["solvers"][0]
             with stage_timing.collect() as collected:
-                outcomes = representative.plan_shapes_cold(shapes)
+                outcomes = dict(
+                    zip(shapes, representative.plan_shapes_cold(shapes))
+                )
             # Keep the kernel-tier pseudo-stages (kernel:<name>:<tier>
             # dispatch counts) out of the seconds breakdown.
             for stage, seconds in kernels.strip_kernel_stages(
                 collected
             ).items():
                 stages[stage] = stages.get(stage, 0.0) + seconds
-            for solver in entry["solvers"]:
-                for shape, outcome in zip(shapes, outcomes):
-                    solver.seed_plan(shape, outcome)
+            for entry in entries:
+                own = sorted(entry["shapes"], key=lambda s: (len(s), s))
+                for solver in entry["solvers"]:
+                    for shape in own:
+                        solver.seed_plan(shape, outcomes[shape])
             planned += len(shapes)
         return planned, time.perf_counter() - started, stages
 

@@ -15,6 +15,10 @@ shape to ``BENCH_service.json``:
   p50/p99 over TCP, retries, reconnects, degraded count and the
   server-side frame counters.
 
+Latency summaries carry ``n`` and ``max_ms`` next to the percentiles;
+tables print the tail through :func:`format_tail`, as a max with its
+sample count when too few samples back a p99.
+
 The measurement replays one seeded Gamma-arrival trace twice:
 
 1. **Burst (cold) phase** — the whole trace is submitted against a
@@ -50,16 +54,38 @@ from repro.service.transport import PlanClient, PlanServer
 #: Generous per-ticket wait; a solve that exceeds this is a hang.
 RESULT_TIMEOUT = 600.0
 
+#: Fewest samples a reported p99 needs; below it tables show the max.
+TAIL_MIN_SAMPLES = 100
+
 
 def _percentiles(latencies: list[float]) -> dict:
+    """Latency summary in ms: p50, p99, mean, max and the sample count
+    ``n`` (the p99 of a handful of samples is just their max, so
+    :func:`format_tail` reports it as one)."""
     if not latencies:
-        return {"p50_ms": None, "p99_ms": None, "mean_ms": None}
+        return {
+            "p50_ms": None, "p99_ms": None, "mean_ms": None,
+            "max_ms": None, "n": 0,
+        }
     array = np.asarray(latencies) * 1000.0
     return {
         "p50_ms": round(float(np.percentile(array, 50)), 3),
         "p99_ms": round(float(np.percentile(array, 99)), 3),
         "mean_ms": round(float(array.mean()), 3),
+        "max_ms": round(float(array.max()), 3),
+        "n": int(array.size),
     }
+
+
+def format_tail(stats: dict) -> str:
+    """The tail of a :func:`_percentiles` summary for tables and
+    logs: ``"p99 X ms"`` when at least :data:`TAIL_MIN_SAMPLES` samples
+    back it, else ``"max X ms (n=N)"``."""
+    if not stats["n"]:
+        return "no samples"
+    if stats["n"] >= TAIL_MIN_SAMPLES:
+        return f"p99 {stats['p99_ms']:.2f} ms"
+    return f"max {stats['max_ms']:.2f} ms (n={stats['n']})"
 
 
 def _verify_unique_plans(jobs, solver_config, unique) -> int:

@@ -8,15 +8,19 @@ all-equal-length batches, and corpora whose longest sequence forces
 group — through both planner backends and the full solver loop.
 """
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.cluster.topology import standard_cluster
 from repro.core import kernels
 from repro.core import planner_greedy as planner_greedy_module
 from repro.core.blaster import balanced_cut_points_multi
 from repro.core.bucketing import optimal_buckets
 from repro.core.planner import PlannerConfig, plan_microbatch
 from repro.core.planner_greedy import (
+    LayoutStack,
     _assign_lpt_scalar,
     _assign_lpt_stacked,
     _layout_stack,
@@ -26,6 +30,8 @@ from repro.core.planner_greedy import (
 )
 from repro.core.solver import FlexSPSolver, SolverConfig
 from repro.cost.model import cost_table
+from repro.cost.profiler import fit_cost_model
+from repro.model.config import GPT_7B
 
 MILP_CFG = PlannerConfig(time_limit=2.0, mip_rel_gap=0.05)
 
@@ -378,3 +384,162 @@ class TestSkeletonCacheConcurrency:
             ref_plan, ref_predicted = serial[i % len(batches)]
             assert predicted == ref_predicted
             assert plan == ref_plan
+
+
+#: GPT-7B (64K context) fits per cluster size for the stacked-pass cases.
+_STACKED_MODELS = {
+    num_gpus: fit_cost_model(
+        GPT_7B.with_max_context(64 * 1024), standard_cluster(num_gpus)
+    )
+    for num_gpus in (8, 16, 64)
+}
+
+
+def _stacked_stack(num_gpus, longest, floored=False):
+    stack = _layout_stack(_STACKED_MODELS[num_gpus], longest)
+    if not floored:
+        return stack
+    # A copy with whole-token caps (padding keeps its -1 sentinel).
+    copy = object.__new__(LayoutStack)
+    for name in LayoutStack.__slots__:
+        setattr(copy, name, getattr(stack, name))
+    copy.caps = np.floor(stack.caps)
+    copy.lane_constants = [
+        [(d, cpt, beta, float(np.floor(cap))) for d, cpt, beta, cap in lanes]
+        for lanes in stack.lane_constants
+    ]
+    return copy
+
+
+def _stacked_body(ordered, stack, rows, table):
+    """The kernel-tier body (the un-jitted reference) on one family."""
+    return kernels.KERNEL_BODIES["lpt_stacked"](
+        np.asarray(ordered, dtype=np.float64),
+        stack.caps[rows],
+        stack.degrees[rows],
+        stack.comm_per_token[rows],
+        stack.comm_beta[rows],
+        table.alpha1,
+        table.alpha2,
+        table.beta1,
+        table.gather,
+        table.exposed_gather,
+    )
+
+
+def _check_stacked(ordered, stack, rows, table):
+    """Assert the flat stacked pass equals the kernel body and the
+    per-layout scalar loop; return its outcome."""
+    got = _assign_lpt_stacked(ordered, stack, rows, table)
+    feasible, ref_choices, ref_makespans, ref_winner = _stacked_body(
+        ordered, stack, rows, table
+    )
+    assert (got is not None) == bool(feasible)
+    per_layout = [
+        _assign_lpt_scalar(ordered, stack.lane_constants[int(row)], table)
+        for row in rows
+    ]
+    if got is None:
+        assert all(ref is None for ref in per_layout)
+        return None
+    choices, makespans, winner = got
+    assert choices.shape == (len(ordered), len(rows))
+    assert choices.tolist() == ref_choices.tolist()
+    assert makespans.tolist() == ref_makespans.tolist()
+    assert winner == int(ref_winner)
+    for col, ref in enumerate(per_layout):
+        if ref is None:
+            assert makespans[col] == np.inf
+            continue
+        group_lengths, makespan = ref
+        assert makespans[col] == makespan
+        placed = [[] for __ in group_lengths]
+        for step, lane in enumerate(choices[:, col]):
+            placed[lane].append(ordered[step])
+        assert placed == group_lengths
+    return got
+
+
+@st.composite
+def _stacked_cases(draw):
+    """A cluster size, a batch and a subset of its layout family.
+
+    Batches mix sequences sized to a whole degree's token cap (rounded
+    down, so lanes fill to just under their cap and the cap decides
+    the next placement) with short fillers; totals may exceed the
+    cluster, so layouts die mid-pass and whole families die.  With
+    ``floored`` the family's caps are rounded down too, so a lane can
+    fill to exactly its cap (``>`` and ``>=`` disagree there).
+    """
+    num_gpus = draw(st.sampled_from((8, 16, 64)))
+    per_device = _STACKED_MODELS[num_gpus].max_tokens_per_device()
+    degrees = [d for d in (1, 2, 4, 8, 16, 32, 64) if d <= num_gpus]
+    full = [
+        int(per_device * draw(st.sampled_from(degrees)))
+        for __ in range(draw(st.integers(0, 6)))
+    ]
+    fillers = draw(
+        st.lists(
+            st.integers(1, int(per_device * 2)), min_size=0, max_size=40
+        )
+    )
+    lengths = full + fillers
+    if not lengths:
+        lengths = [draw(st.integers(1, int(per_device)))]
+    size = len(_stacked_stack(num_gpus, max(lengths)).layouts)
+    rows = draw(
+        st.lists(
+            st.integers(0, size - 1), min_size=1, max_size=size, unique=True
+        )
+    )
+    floored = draw(st.booleans())
+    return (
+        num_gpus, sorted(lengths, reverse=True), np.asarray(sorted(rows)),
+        floored,
+    )
+
+
+class TestFlatStackedPass:
+    """The flat, preallocated stacked LPT pass against both references:
+    the kernel-tier body (layout by layout, dead layouts frozen) and
+    the per-layout scalar loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_stacked_cases())
+    def test_matches_kernel_body_and_scalar_loop(self, case):
+        num_gpus, ordered, rows, floored = case
+        model = _STACKED_MODELS[num_gpus]
+        stack = _stacked_stack(num_gpus, ordered[0], floored)
+        _check_stacked(ordered, stack, rows, cost_table(model))
+
+    def test_mid_pass_death_and_binding_last_lane(self):
+        model = _STACKED_MODELS[8]
+        table = cost_table(model)
+        unit = int(model.max_tokens_per_device() * 2)
+        ordered = [unit] * 4
+        stack = _stacked_stack(8, unit, floored=True)
+        rows = np.arange(len(stack.layouts))
+        choices, makespans, __ = _check_stacked(ordered, stack, rows, table)
+        layouts = [stack.layouts[int(row)] for row in rows]
+        # A lone degree-2 group holds one unit: it dies at step 1 and
+        # every later choice is -1.
+        lone = layouts.index((2,))
+        assert choices[:, lone].tolist() == [0, -1, -1, -1]
+        assert makespans[lone] == np.inf
+        # Two degree-4 groups take two units each: the last lane fills
+        # to exactly its (whole-token) cap and the layout survives.
+        pair = layouts.index((4, 4))
+        last = len(layouts[pair]) - 1
+        filled = sum(
+            s for s, lane in zip(ordered, choices[:, pair]) if lane == last
+        )
+        assert filled == stack.caps[int(rows[pair]), last]
+        assert np.isfinite(makespans[pair])
+
+    def test_all_dead_family_returns_none(self):
+        model = _STACKED_MODELS[8]
+        unit = int(model.max_tokens_per_device() * 2)
+        ordered = [unit] * 5  # more than the whole cluster holds
+        stack = _stacked_stack(8, unit)
+        rows = np.arange(len(stack.layouts))
+        assert _check_stacked(ordered, stack, rows, cost_table(model)) is None

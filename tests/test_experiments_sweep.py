@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cache_store import CacheStore, context_digest
 from repro.core.solver import SolverConfig
 from repro.experiments import sweep
 from repro.experiments.campaign import build_campaign
@@ -287,6 +288,81 @@ class TestColdBatching:
             for key, __ in solver.cache.snapshot()
         }
         assert result.prewarm_planned == len(union)
+
+    def _bucketing_cells(self, workload):
+        return [
+            SweepCell(
+                system="flexsp",
+                workload=workload,
+                num_iterations=2,
+                variant=variant,
+            )
+            for variant in (
+                (),
+                (("bucketing", "naive"),),
+                (("bucketing", "none"),),
+            )
+        ]
+
+    def test_bucketing_variants_share_one_greedy_planning_key(
+        self, workload
+    ):
+        """The greedy planner ignores the planner config, so the three
+        bucketing contexts plan each shape once between them; each
+        solver is still seeded with its own context's shapes only."""
+        cells = self._bucketing_cells(workload)
+        runner = SweepRunner(cells, solver_config=SOLVER, workers=1)
+        result = runner.run()
+        context = runner.context(workload)
+        solvers = [
+            context.system("flexsp", cell.variant).solver for cell in cells
+        ]
+        assert len({solver.context for solver in solvers}) == 3
+        assert len({solver.planning_key for solver in solvers}) == 1
+        own = [
+            {key[0] for key, __ in solver.cache.snapshot()}
+            for solver in solvers
+        ]
+        assert result.prewarm_planned == len(set().union(*own))
+        plain = SweepRunner(
+            cells, solver_config=SOLVER, workers=1, prewarm=False
+        )
+        plain.run()
+        plain_context = plain.context(workload)
+        for cell, shapes in zip(cells, own):
+            solver = plain_context.system("flexsp", cell.variant).solver
+            assert {key[0] for key, __ in solver.cache.snapshot()} == shapes
+
+    def test_milp_bucketing_contexts_plan_separately(
+        self, workload, monkeypatch
+    ):
+        """The MILP planner reads the bucketing config: each context
+        plans its own shapes, shared or not."""
+        from repro.core import solver as solver_module
+        from repro.core.planner_greedy import plan_microbatch_greedy
+
+        calls = []
+
+        def recording_planner(shape, model, config):
+            calls.append((tuple(sorted(shape)), config.bucketing))
+            return plan_microbatch_greedy(shape, model, config)
+
+        monkeypatch.setitem(solver_module._BACKENDS, "milp", recording_planner)
+        config = SolverConfig(backend="milp", num_trials=2)
+        cells = self._bucketing_cells(workload)
+        runner = SweepRunner(cells, solver_config=config, workers=1)
+        result = runner.run()
+        context = runner.context(workload)
+        solvers = [
+            context.system("flexsp", cell.variant).solver for cell in cells
+        ]
+        assert len({solver.planning_key for solver in solvers}) == 3
+        per_context = sum(len(solver.cache) for solver in solvers)
+        assert result.prewarm_planned == per_context == len(calls)
+        assert len(set(calls)) == len(calls)
+        assert {bucketing for __, bucketing in calls} == {
+            "optimal", "naive", "none"
+        }
 
     def test_prewarm_stage_breakdown_recorded(self, workload):
         cells = self._cells(workload)
@@ -774,3 +850,74 @@ class TestWorkersDefaults:
         config = SolverConfig(workers=3)
         assert SweepRunner(solver_config=config).solver_workers == 3
         assert SweepRunner().solver_workers == 1
+
+
+class TestPrewarmDedupUnifiedGrid:
+    """On the unified artefact grid the greedy backend's Fig. 7
+    bucketing contexts share one planning key: the prewarm pass solves
+    32 distinct problems where the per-context count is 38, and leaves
+    the same caches, metrics and store entries as a pass that plans
+    every cell itself.
+
+    Prewarm seeds every solver with its cache context's whole shape
+    set, and solvers of one context also sit in other workloads (equal
+    model and cluster) or variants (the sort ablation) that plan into
+    their own caches without prewarm; so the unprewarmed pass is
+    compared per cache context."""
+
+    @staticmethod
+    def _entries(runner, store_root):
+        """Per cache context: every solver's entries, the union of
+        them, and the union of the store entries the context's
+        workloads hold under its digest."""
+        store = CacheStore(store_root)
+        solvers, caches, stored = [], {}, {}
+        for signature, context in runner._contexts.items():
+            state = store.load(signature)
+            for system in context._systems.values():
+                solver = getattr(system, "solver", None)
+                if solver is None:
+                    continue
+                entries = {
+                    key[0]: entry for key, entry in solver.cache.snapshot()
+                }
+                solvers.append((solver.context, entries))
+                caches.setdefault(solver.context, {}).update(entries)
+                digest = context_digest(
+                    solver.config.planner, solver.config.backend
+                )
+                stored.setdefault(solver.context, {}).update(
+                    {entry[0]: entry for entry in state.plans[digest]}
+                )
+        return solvers, caches, stored
+
+    def test_unified_prewarm_plans_each_problem_once(self, tmp_path):
+        cells = build_campaign("unified").cells
+        warmed = SweepRunner(
+            cells, solver_config=SOLVER, workers=1, store=tmp_path / "warmed"
+        )
+        plain = SweepRunner(
+            cells,
+            solver_config=SOLVER,
+            workers=1,
+            prewarm=False,
+            store=tmp_path / "plain",
+        )
+        with warmed, plain:
+            warmed_result = warmed.run()
+            plain_result = plain.run()
+        solvers, caches, stored = self._entries(warmed, tmp_path / "warmed")
+        __, plain_caches, plain_stored = self._entries(
+            plain, tmp_path / "plain"
+        )
+        assert sum(len(entries) for entries in caches.values()) == 38
+        assert warmed_result.prewarm_planned == 32
+        assert plain_result.prewarm_planned == 0
+        assert caches == plain_caches
+        for context, entries in solvers:
+            assert entries == caches[context]
+        for a, b in zip(warmed_result.metrics, plain_result.metrics):
+            assert a.deterministic() == b.deterministic()
+        assert stored == plain_stored
+        for context, entries in stored.items():
+            assert entries.keys() == caches[context].keys()

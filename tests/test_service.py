@@ -28,6 +28,7 @@ from repro.service import (
     service_jobs,
     synthesize_trace,
 )
+from repro.service.benchmark import TAIL_MIN_SAMPLES, _percentiles, format_tail
 
 MAX_CONTEXT = 16 * 1024
 RESULT_TIMEOUT = 300.0
@@ -319,3 +320,21 @@ def _cold_model(workload: Workload):
     return fit_cost_model(
         workload.model_at_context, workload.cluster, workload.checkpointing
     )
+
+
+class TestLatencySummary:
+    def test_summary_carries_count_and_max(self):
+        stats = _percentiles([0.001, 0.002, 0.010])
+        assert stats["n"] == 3
+        assert stats["max_ms"] == 10.0
+        assert stats["p50_ms"] == 2.0
+        assert "p99_ms" in stats
+        empty = _percentiles([])
+        assert empty["n"] == 0 and empty["max_ms"] is None
+
+    def test_tail_is_a_max_below_one_hundred_samples(self):
+        few = _percentiles([0.001] * 13 + [0.2])
+        assert format_tail(few) == "max 200.00 ms (n=14)"
+        many = _percentiles([0.001] * (TAIL_MIN_SAMPLES - 1) + [0.2])
+        assert format_tail(many) == f"p99 {many['p99_ms']:.2f} ms"
+        assert format_tail(_percentiles([])) == "no samples"
